@@ -5,9 +5,10 @@ chaos proxy emit overlapping telemetry; this module is the single
 authority on what a network metric is called and what it means:
 
 * :data:`METRIC_NAME_TABLE` — every canonical ``net.*`` / ``netd.*`` /
-  ``chaos.*`` instrument name with its kind and meaning.  Wildcard
-  entries (``netd.rounds.*``) cover per-key families.  A test asserts
-  that every metric the code emits appears here, so the table cannot rot;
+  ``chaos.*`` / ``chase.*`` / ``sync.*`` instrument name with its kind
+  and meaning.  Wildcard entries (``netd.rounds.*``) cover per-key
+  families.  A test asserts that every metric the code emits appears
+  here, so the table cannot rot;
 * :data:`DEPRECATED_METRICS` — renamed instruments.
   :class:`~repro.obs.metrics.MetricsRegistry` resolves old names to
   their replacements on access, so ``registry.counter(old)`` and
@@ -16,11 +17,11 @@ authority on what a network metric is called and what it means:
 * :func:`metric_documented` / :func:`undocumented` — the lookup helpers
   the completeness test (and ``scripts/selfcheck.py``) use.
 
-Solver-side metrics (``solve.*``, ``certain.*``, ``sync.*``) are named
-by their result objects and documented in ``docs/api.md``; this table
-covers the distributed namespaces, where the simulator and the daemon
-must agree on vocabulary to be comparable, plus the ``chase.*``
-incremental-chase counters shared by every sync stack.
+Solver-side metrics (``solve.*``, ``certain.*``) are named by their
+result objects and documented in ``docs/api.md``; this table covers the
+distributed namespaces, where the simulator and the daemon must agree on
+vocabulary to be comparable, plus the ``chase.*`` incremental-chase
+counters and the ``sync.*`` round instruments shared by every sync stack.
 """
 
 from __future__ import annotations
@@ -83,6 +84,17 @@ METRIC_NAME_TABLE: dict[str, tuple[str, str]] = {
     "chase.retracted": ("counter", "derived facts withdrawn by provenance-guided retraction"),
     "chase.refired": ("counter", "chase steps re-fired by semi-naive delta matching"),
     "chase.fallback": ("counter", "incremental rounds that fell back to a from-scratch chase"),
+    # -- sync.* : SyncSession rounds (one registry per session caller) ---
+    "sync.rounds": ("counter", "sync rounds that ran the solver (applied or not)"),
+    "sync.added": ("counter", "facts imported by sync rounds"),
+    "sync.retracted": ("counter", "imported facts retracted by sync rounds"),
+    "sync.attempts": ("counter", "solve attempts across sync rounds"),
+    "sync.retries": ("counter", "budget-exhausted attempts re-run by the retry policy"),
+    "sync.stale": ("counter", "stamped snapshots or deltas skipped as stale"),
+    "sync.delta_rounds": ("counter", "delta payloads whose chain matched"),
+    "sync.delta_broken": ("counter", "delta payloads rejected as chain-broken"),
+    "sync.state_size": ("gauge", "materialized target facts after the last round"),
+    "sync.status": ("label", "the last round's SolveStatus value"),
     # -- chaos.* : the socket-level fault-injection proxy ---------------
     "chaos.connections": ("counter", "connections the proxy accepted and linked"),
     "chaos.refused": ("counter", "connections refused (severed/partitioned)"),
@@ -111,11 +123,11 @@ def canonical_metric_name(name: str) -> str:
 def metric_documented(name: str) -> bool:
     """True when ``name`` (canonicalized) appears in the table.
 
-    Names outside the ``net.`` / ``netd.`` / ``chaos.`` / ``chase.``
-    namespaces are not this table's business and always pass.
+    Names outside the ``net.`` / ``netd.`` / ``chaos.`` / ``chase.`` /
+    ``sync.`` namespaces are not this table's business and always pass.
     """
     name = canonical_metric_name(name)
-    if not name.startswith(("net.", "netd.", "chaos.", "chase.")):
+    if not name.startswith(("net.", "netd.", "chaos.", "chase.", "sync.")):
         return True
     if name in METRIC_NAME_TABLE:
         return True

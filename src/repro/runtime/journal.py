@@ -246,10 +246,11 @@ class SessionJournal:
             raw_stamp = record.get("stamp")
             if raw_stamp is not None:
                 stamp = (int(raw_stamp[0]), int(raw_stamp[1]))
+            # Unlike the stamp, the base is not sticky: an unstamped
+            # commit drops it, as the live session does.
             raw_source = record.get("source")
+            source = None
             if raw_source is not None:
-                # Sticky, like the stamp: an unstamped commit leaves the
-                # retained delta base (and the watermark) in place.
                 source = instance_from_dict(
                     raw_source, schema=setting.source_schema
                 )

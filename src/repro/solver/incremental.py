@@ -18,8 +18,9 @@ Correctness leans on the incremental chase contract: its result is
 homomorphically equivalent to the from-scratch chase of the patched base,
 and both are universal, so existence answers and witnesses agree with
 :func:`repro.solver.tractable.exists_solution_tractable` up to null
-renaming.  One null factory spans both stages and every round, so fresh
-nulls never collide with cached ones.
+renaming.  One null factory spans both stages and every round, and each
+cold rebuild lifts it above every null of its inputs, so fresh nulls
+never collide with cached or restored ones.
 
 The solver is *self-healing*: any precondition failure
 (:class:`~repro.exceptions.IncrementalChaseUnsupported`) or interrupted
@@ -199,6 +200,11 @@ class IncrementalTractableSolver:
         """Cold path: the ordinary Figure 3 chases, but with cached state."""
         self.setting.validate_source_instance(source)
         self.setting.validate_target_instance(target)
+        # Label above nulls this factory never issued (a resumed session's
+        # restored imports) and above every label it already handed out.
+        self._factory = NullFactory.above(
+            [*source.nulls(), *target.nulls(), self._factory.fresh()]
+        )
         combined = self.setting.combine(source, target)
         with tracer.span("sigma-st-chase"):
             st_result = chase(
@@ -248,6 +254,10 @@ class IncrementalTractableSolver:
         t_added, t_withdrawn = target.diff(self._target)
         added.extend(t_added)
         withdrawn.extend(t_withdrawn)
+        # A canonical order makes fresh null labels depend on what changed,
+        # not on how the instances were built (patched base vs snapshot).
+        added.sort(key=str)
+        withdrawn.sort(key=str)
         # The cached results are dead after this round (the cache commits
         # the successors), so both chases may consume them in place.
         st_result = chase_incremental(

@@ -2,81 +2,58 @@
 
 The paper's motivating scenario (Introduction) is *periodic*: "at regular
 intervals of time, the university database is willing to receive new data
-from Swiss-Prot".  Re-solving from scratch at every interval wastes the
-work of previous rounds; a :class:`SyncSession` maintains the materialized
-target state across rounds and only processes the delta.
+from Swiss-Prot".  A :class:`SyncSession` maintains the materialized
+target state across rounds instead of re-solving from scratch.  Each round
+the source publishes a new snapshot ``I_t`` (the source is authoritative,
+so withdrawals are legitimate) and the session solves ``SOL(P)(I_t,
+pinned)`` seeded with its still-justified imports.  *Pinned* facts are
+the target's own data and must survive (Definition 2's ``J ⊆ J'``);
+*imported* facts came from earlier rounds and are retracted once the
+source stops vouching for them.
 
-Model per round:
+One round path: a snapshot is a delta against the retained base.  The
+session retains the *base*, the source its committed state solves.
+Whether ``I_t`` arrives whole (:meth:`SyncSession.sync`) or as an
+``(added, withdrawn)`` patch of the base (:meth:`SyncSession.sync_delta`),
+the round only needs the withdrawn part.  The committed state satisfied
+``Σ_ts`` against the base, so an import can lose its justification only
+through a ``Σ_ts`` body match whose head (in any disjunct) could have used
+a withdrawn fact; the retraction scan re-checks just those.  Without a
+base (the first round, after an unstamped round, or after resuming a
+journal without a source) it re-checks every match.  One pass suffices:
+``Σ_ts`` is anti-monotone in the target, so a retraction only removes
+matches and never creates a violation.
 
-* the source peer publishes a new snapshot ``I_t`` (facts may be added or
-  withdrawn — the source is authoritative, so withdrawals are legitimate);
-* the target's current materialized state ``M_{t-1}`` plays the role of
-  ``J`` — except that facts imported in earlier rounds which the source no
-  longer vouches for must not block the sync: the session distinguishes
-  *pinned* facts (the target's own data, which must survive, per
-  Definition 2's ``J ⊆ J'``) from *imported* facts (materialized from
-  earlier rounds, which may be retracted when the authority withdraws
-  their justification);
-* the session solves ``SOL(P)(I_t, pinned)`` seeded with the still-valid
-  imported facts and reports the round's delta.
+Resilience (:mod:`repro.runtime`): a :class:`~repro.runtime.Budget`
+that runs out *degrades* the round (a non-``DECIDED``
+:class:`~repro.runtime.SolveStatus`, state unchanged); a
+:class:`~repro.runtime.RetryPolicy` re-attempts budget-exhausted rounds
+with escalated caps and jittered backoff (deadline expiry and
+cancellation are never retried); a :class:`~repro.runtime.SessionJournal`
+commits each round *before* the in-memory state changes, and
+:meth:`SyncSession.resume` rebuilds the session after a crash.
 
-The incremental trick: imported facts that are still consistent with
-``I_t`` are passed as part of the target instance, so the solver's chase
-starts from the previous materialization instead of from scratch; facts
-that lost their justification are retracted first (and reported).
-
-Resilience (the :mod:`repro.runtime` integration):
-
-* a round may be governed by a :class:`~repro.runtime.Budget`; when the
-  budget runs out the round *degrades* — the outcome reports a
-  non-``DECIDED`` :class:`~repro.runtime.SolveStatus` and the state stays
-  unchanged — instead of corrupting the materialization;
-* a :class:`~repro.runtime.RetryPolicy` re-attempts budget-exhausted
-  rounds with escalated caps and jittered backoff (deadline expiry and
-  cancellation are never retried: the deadline is shared by all attempts,
-  and cancellation is a directive);
-* a :class:`~repro.runtime.SessionJournal` makes the session crash-safe:
-  each successful round is committed to the journal *before* the
-  in-memory state is updated, and :meth:`SyncSession.resume` rebuilds a
-  session from the journal after a crash.
-
-Epoch-aware ingestion (the :mod:`repro.net` integration): real peer
-transports deliver at-least-once and out of order, so a session fed from
-a network must not re-apply a duplicated snapshot or regress to a stale
-one.  A publisher stamps each snapshot with a :class:`Stamp` — a
-``(epoch, seq)`` pair, ordered lexicographically: ``seq`` increments per
-publish, ``epoch`` increments when the publisher restarts (resetting
-``seq``).  ``sync(..., stamp=...)`` ingests a snapshot only when its
-stamp is *strictly newer* than the session's watermark; otherwise the
-round is a stale no-op (``outcome.stale``), which makes stamped ingestion
-idempotent.  The watermark commits to the journal atomically with the
-round it protects, so it survives crashes.
-
-Delta rounds: the motivating scenario is periodic, so consecutive
-snapshots overlap heavily and shipping the full snapshot every interval
-wastes the wire.  :meth:`SyncSession.sync_delta` ingests an incremental
-``(added, withdrawn)`` payload keyed on the *base* stamp of the snapshot
-it patches: the session reconstructs ``I_t = (I_{t-1} - withdrawn) ∪
-added`` from its retained copy of the last ingested source and runs the
-ordinary stamped round on the result — the delta is pure wire-format
-optimization, invisible to the solver.  The chain is validated first: a
-delta applies only when the session's watermark equals the base stamp
-and the base snapshot is retained; otherwise the round reports
-``outcome.reason == DELTA_CHAIN_BROKEN`` (and ``outcome.chain_broken``)
-without touching any state, telling the sender to fall back to a full
-snapshot.  The retained source commits to the journal with its round, so
-a resumed session keeps its delta chain intact across crashes; journals
-written before delta support load with no retained source and simply
-break the chain once, forcing one full-snapshot refresh.
+Stamps (:mod:`repro.net`): transports deliver at-least-once and out of
+order, so a publisher stamps each snapshot with a :class:`Stamp`
+``(epoch, seq)``, ordered lexicographically.  A stamp at or below the
+session's watermark is a stale no-op (``outcome.stale``), which makes
+ingestion idempotent; the watermark and the base commit to the journal
+with the round they protect.  A delta names the stamp of the base it
+patches and applies only when that is the watermark and a base is
+retained; otherwise the round reports ``DELTA_CHAIN_BROKEN`` without
+touching any state and the sender falls back to a full snapshot.  An
+applied *unstamped* round drops the base, since no stamp names the
+source its state solves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from repro.core.chase import _unify_row, satisfies
-from repro.core.dependencies import TGD
+from repro.core.atoms import Atom, Fact
+from repro.core.chase import _unify_row
+from repro.core.dependencies import DisjunctiveTGD, TGD
 from repro.core.homomorphism import find_homomorphism, iter_homomorphisms
 from repro.core.instance import Instance
 from repro.core.setting import PDESetting
@@ -140,6 +117,36 @@ def watermark_lag(
         return len(stamps)
     mark = Stamp(*watermark)
     return sum(1 for stamp in stamps if stamp > mark)
+
+
+def _body_matches(
+    dependency: "TGD | DisjunctiveTGD",
+    disjuncts: "tuple[tuple[Atom, ...], ...]",
+    state: Instance,
+    rows: "dict[str, set] | None",
+):
+    """The body matches of ``dependency`` over ``state`` to re-check.
+
+    Every match when ``rows`` is None; otherwise only those whose head
+    atoms, in some disjunct, unify with a withdrawn row (each yielded
+    once).
+    """
+    if rows is None:
+        yield from iter_homomorphisms(dependency.body, state)
+        return
+    body_vars = dependency.body_variables()
+    seen: set = set()
+    for disjunct in disjuncts:
+        for atom in disjunct:
+            for args in rows.get(atom.relation, ()):
+                partial = _unify_row(atom, args, restrict=body_vars)
+                if partial is None:
+                    continue
+                for assignment in iter_homomorphisms(dependency.body, state, partial):
+                    key = frozenset(assignment.items())
+                    if key not in seen:
+                        seen.add(key)
+                        yield assignment
 
 
 @dataclass
@@ -235,9 +242,10 @@ class SyncSession:
     #: Watermark of the newest stamped snapshot ever ingested; None until
     #: the first stamped round.  Snapshots at or below it are stale.
     last_stamp: Stamp | None = None
-    #: The source snapshot of the last *applied* stamped round — the base
-    #: a subsequent delta patches.  None until a stamped round applies
-    #: (deltas are keyed on stamps, so unstamped rounds retain nothing).
+    #: The base: the source snapshot the committed state solves, which
+    #: the next round's retraction scan diffs against and the next delta
+    #: patches.  Set by every applied stamped round; None before one and
+    #: after an applied unstamped round (deltas are keyed on stamps).
     _last_source: Instance | None = None
     #: Lazily constructed incremental solver (see ``incremental``).
     _solver: IncrementalTractableSolver | None = field(default=None, repr=False)
@@ -272,160 +280,49 @@ class SyncSession:
         the applied source (rather than the materialized target) keeps
         every hop exchanging *source* facts, so a chain of peers computes
         the same solutions as direct subscribers of the origin.  ``None``
-        until a stamped round applies.
+        until a stamped round applies, and after an unstamped one.
         """
         return self._last_source
 
-    def _still_justified(self, source: Instance) -> tuple[Instance, Instance]:
-        """Split imported facts into (still consistent, to retract).
+    def _retraction_scan(
+        self, source: Instance, withdrawn: "Iterable[Fact] | None"
+    ) -> Instance:
+        """The imported facts that ``source`` no longer justifies.
 
-        An imported fact survives iff keeping it cannot violate ``Σ_ts``:
-        we keep the maximal subset of imported facts such that the target
-        fragment they form satisfies the target-to-source constraints
-        against the new source.  Because ``Σ_ts`` is anti-monotone in the
-        target, greedy removal of facts participating in violated premises
-        reaches such a subset.
+        ``withdrawn`` is what ``source`` dropped from the retained base
+        (None without a base; see the module docstring for why only the
+        matches it touches need re-checking).  A ``Σ_ts`` body match that
+        no disjunct witnesses in ``source`` retracts its first imported
+        premise fact; matches that already lost a premise are skipped.
         """
-        survivors = self.pinned.union(self._imported)
+        rows: dict[str, set] | None = None
+        if withdrawn is not None:
+            rows = {}
+            for fact in withdrawn:
+                rows.setdefault(fact.relation, set()).add(fact.args)
+        state = self.state()
         retracted = Instance(schema=self.setting.target_schema)
-        changed = True
-        while changed:
-            changed = False
-            combined = self.setting.combine(source, survivors)
-            if satisfies(combined, self.setting.sigma_ts):
-                break
-            # Drop one imported fact from some violated premise and retry.
-            for dependency in self.setting.sigma_ts:
-                for assignment in iter_homomorphisms(dependency.body, survivors):
-                    exported = {
-                        v: value
-                        for v, value in assignment.items()
-                        if v in dependency.body_variables()
-                    }
-                    satisfied = False
-                    if isinstance(dependency, TGD):
-                        used = set()
-                        for atom in dependency.head:
-                            used |= atom.variables()
-                        relevant = {v: val for v, val in exported.items() if v in used}
-                        satisfied = (
-                            find_homomorphism(dependency.head, source, relevant)
-                            is not None
-                        )
-                    else:
-                        for disjunct in dependency.disjuncts:
-                            used = set()
-                            for atom in disjunct:
-                                used |= atom.variables()
-                            relevant = {
-                                v: val for v, val in exported.items() if v in used
-                            }
-                            if (
-                                find_homomorphism(list(disjunct), source, relevant)
-                                is not None
-                            ):
-                                satisfied = True
-                                break
-                    if satisfied:
-                        continue
-                    # Retract the first non-pinned fact of the premise.
-                    premise_facts = [
-                        atom.substitute(assignment).to_fact()
-                        for atom in dependency.body
-                    ]
-                    dropped = False
-                    for fact in premise_facts:
-                        if fact in self._imported and fact not in self.pinned:
-                            survivors.discard(fact)
-                            retracted.add(fact)
-                            dropped = True
-                            break
-                    if dropped:
-                        changed = True
-                        break
-                if changed:
-                    break
+        for dependency in self.setting.sigma_ts:
+            if isinstance(dependency, DisjunctiveTGD):
+                disjuncts = dependency.disjuncts
             else:
-                break
-        kept = Instance(schema=self.setting.target_schema)
-        for fact in survivors:
-            if fact in self._imported and fact not in retracted:
-                kept.add(fact)
-        return kept, retracted
-
-    def _still_justified_delta(
-        self, source: Instance, withdrawn: Instance
-    ) -> tuple[Instance, Instance] | None:
-        """Delta-narrowed retraction scan; None when the fast path is off.
-
-        Sound only under the delta-round invariant (which
-        :meth:`sync_delta` establishes before calling): the current state
-        was committed as part of a solution against the retained base
-        source, so every ``Σ_ts`` body match over it had a head witness
-        there.  A source differing only by ``(added, withdrawn)`` can
-        invalidate a match only if its head witness used a withdrawn
-        fact — so only body matches whose heads unify with withdrawn rows
-        are re-checked, instead of re-enumerating every match.
-        Disjunctive ``Σ_ts`` dependencies keep the full scan.
-        """
-        for dependency in self.setting.sigma_ts:
-            if not isinstance(dependency, TGD):
-                return None
-        retracted = Instance(schema=self.setting.target_schema)
-        withdrawn_rows: dict[str, set] = {}
-        for fact in withdrawn:
-            withdrawn_rows.setdefault(fact.relation, set()).add(fact.args)
-        if not withdrawn_rows:
-            # Additions alone cannot break a witness (Σ_ts heads only gain
-            # candidates), so everything imported stays justified.
-            return self._imported.copy(), retracted
-
-        state = self.pinned.union(self._imported)
-        for dependency in self.setting.sigma_ts:
-            body_vars = dependency.body_variables()
-            head_vars: set = set()
-            for atom in dependency.head:
-                head_vars |= atom.variables()
-            seen: set = set()
-            for atom in dependency.head:
-                rows = withdrawn_rows.get(atom.relation)
-                if not rows:
-                    continue
-                for args in rows:
-                    partial = _unify_row(atom, args, restrict=body_vars)
-                    if partial is None:
-                        continue
-                    for assignment in iter_homomorphisms(
-                        dependency.body, state, partial
-                    ):
-                        key = frozenset(assignment.items())
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        premise_facts = [
-                            body_atom.substitute(assignment).to_fact()
-                            for body_atom in dependency.body
-                        ]
-                        if any(fact in retracted for fact in premise_facts):
-                            continue  # the match already lost a premise
-                        relevant = {
-                            v: val
-                            for v, val in assignment.items()
-                            if v in head_vars
-                        }
-                        if (
-                            find_homomorphism(dependency.head, source, relevant)
-                            is not None
-                        ):
-                            continue  # witness survives in the new source
-                        for fact in premise_facts:
-                            if fact in self._imported and fact not in self.pinned:
-                                retracted.add(fact)
-                                break
-        kept = self._imported.copy()
-        for fact in retracted:
-            kept.discard(fact)
-        return kept, retracted
+                disjuncts = (dependency.head,)
+            for assignment in _body_matches(dependency, disjuncts, state, rows):
+                premise = [
+                    atom.substitute(assignment).to_fact() for atom in dependency.body
+                ]
+                if any(fact in retracted for fact in premise):
+                    continue  # the match already lost a premise
+                if any(
+                    find_homomorphism(disjunct, source, assignment) is not None
+                    for disjunct in disjuncts
+                ):
+                    continue  # some disjunct is still witnessed
+                for fact in premise:
+                    if fact in self._imported:
+                        retracted.add(fact)
+                        break
+        return retracted
 
     def _incremental_solver(self) -> IncrementalTractableSolver | None:
         """The session's stateful solver, or None when unavailable."""
@@ -486,19 +383,33 @@ class SyncSession:
                 span.set("status", result.status.value)
         return result
 
-    def _unchanged(
-        self, reason: str, status: SolveStatus, attempts: int
-    ) -> SyncOutcome:
-        """A failed/degraded outcome leaving the materialization untouched."""
+    def _unchanged(self, reason: str, ok: bool = False, **fields) -> SyncOutcome:
+        """An outcome leaving the materialization untouched: a rejected or
+        degraded round, a stale redelivery, or a broken delta chain."""
         empty = Instance(schema=self.setting.target_schema)
         return SyncOutcome(
-            ok=False,
-            added=empty,
-            retracted=empty.copy(),
-            state=self.state(),
-            reason=reason,
-            status=status,
-            attempts=attempts,
+            ok, empty, empty.copy(), self.state(), reason=reason, **fields
+        )
+
+    def _skip_stale(
+        self,
+        stamp: Stamp,
+        delta: bool,
+        tracer: Tracer,
+        metrics: MetricsRegistry | None,
+    ) -> SyncOutcome | None:
+        """The no-op outcome for a stamp at or below the watermark (a
+        duplicate or out-of-order redelivery, which could only regress
+        the materialization), or None for a live stamp."""
+        if self.last_stamp is None or stamp > self.last_stamp:
+            return None
+        tracer.event("stale-snapshot", stamp=str(stamp), watermark=str(self.last_stamp))
+        if metrics is not None:
+            metrics.counter("sync.stale").inc()
+        kind = "delta" if delta else "snapshot"
+        return self._unchanged(
+            f"stale {kind} {stamp} at or below watermark {self.last_stamp}; "
+            "round skipped", ok=True, stale=True, delta=delta, metrics=metrics,
         )
 
     def sync(
@@ -509,9 +420,13 @@ class SyncSession:
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         stamp: Stamp | tuple[int, int] | None = None,
-        _retraction: "tuple[Instance, Instance] | None" = None,
     ) -> SyncOutcome:
         """Run one synchronization round against a new source snapshot.
+
+        The snapshot is treated as a delta against the retained base: the
+        round's retraction scan re-checks only what ``base - source``
+        withdrew (everything, when no base is retained), exactly as
+        :meth:`sync_delta` does for a shipped delta.
 
         Returns a :class:`SyncOutcome`; when the round is rejected (the
         *pinned* facts themselves are incompatible with the new source) or
@@ -522,8 +437,9 @@ class SyncSession:
         timeline (see :class:`Stamp`).  A stamped snapshot at or below
         the session's watermark returns a ``stale`` no-op outcome without
         solving; a newer one advances the watermark atomically with the
-        journal commit.  Unstamped calls (the historical API) skip the
-        check entirely.
+        journal commit and becomes the base.  Unstamped calls (the
+        historical API) skip the check; an applied unstamped round drops
+        the base, since no stamp names the source its state solves.
 
         With a non-strict ``budget`` and a session ``retry`` policy,
         budget-exhausted attempts are re-run with escalated caps after a
@@ -539,8 +455,101 @@ class SyncSession:
         """
         if tracer is None:
             tracer = NULL_TRACER
-        if stamp is not None and not isinstance(stamp, Stamp):
+        if stamp is not None:
             stamp = Stamp(*stamp)
+            stale = self._skip_stale(stamp, False, tracer, metrics)
+            if stale is not None:
+                return stale
+        withdrawn = None
+        if self._last_source is not None:
+            _, withdrawn = source.diff(self._last_source)
+        return self._round(
+            source, withdrawn, stamp, node_budget, budget, tracer, metrics
+        )
+
+    def sync_delta(
+        self,
+        added: Instance,
+        withdrawn: Instance,
+        base: Stamp | tuple[int, int],
+        stamp: Stamp | tuple[int, int],
+        node_budget: int | None = None,
+        budget: Budget | None = None,
+        tracer: Tracer | None = None,
+        metrics: MetricsRegistry | None = None,
+    ) -> SyncOutcome:
+        """Run one round from an incremental ``(added, withdrawn)`` payload.
+
+        The delta patches the source snapshot stamped ``base`` into the
+        snapshot stamped ``stamp``: the session reconstructs ``I_t =
+        (I_{t-1} - withdrawn) ∪ added`` from its retained base and runs
+        the same round as :meth:`sync`, with ``withdrawn`` narrowing the
+        retraction scan — so a delta round and a full-snapshot round of
+        the same ``I_t`` commit identical state; the delta only shrinks
+        the wire.
+
+        Ordering mirrors :meth:`sync`: a stamp at or below the watermark
+        is a stale no-op *before* any chain check (redelivered deltas are
+        idempotent, like redelivered snapshots).  A live stamp whose
+        ``base`` differs from the watermark — the session missed (or
+        never saw) the base snapshot or crashed without a journal — or a
+        session holding no base (its last round was unstamped) breaks the
+        chain: the round returns
+        ``ok=False`` with :data:`DELTA_CHAIN_BROKEN` as the reason,
+        leaving all state untouched, and the sender is expected to fall
+        back to a full snapshot.
+        """
+        if tracer is None:
+            tracer = NULL_TRACER
+        stamp = Stamp(*stamp)
+        base = Stamp(*base)
+        stale = self._skip_stale(stamp, True, tracer, metrics)
+        if stale is not None:
+            return stale
+
+        if self.last_stamp != base or self._last_source is None:
+            tracer.event(
+                "delta-chain-broken",
+                base=str(base),
+                stamp=str(stamp),
+                watermark=str(self.last_stamp),
+            )
+            if metrics is not None:
+                metrics.counter("sync.delta_broken").inc()
+            if self._solver is not None:
+                # The sender will fall back to a full snapshot of unknown
+                # lineage; start the next round from a cold pipeline.
+                self._solver.reset()
+            return self._unchanged(DELTA_CHAIN_BROKEN, delta=True, metrics=metrics)
+
+        if metrics is not None:
+            metrics.counter("sync.delta_rounds").inc()
+        source = self._last_source.copy()
+        for fact in withdrawn:
+            source.discard(fact)
+        for fact in added:
+            source.add(fact)
+        outcome = self._round(
+            source, withdrawn, stamp, node_budget, budget, tracer, metrics
+        )
+        outcome.delta = True
+        return outcome
+
+    def _round(
+        self,
+        source: Instance,
+        withdrawn: "Iterable[Fact] | None",
+        stamp: Stamp | None,
+        node_budget: int | None,
+        budget: Budget | None,
+        tracer: Tracer,
+        metrics: MetricsRegistry | None,
+    ) -> SyncOutcome:
+        """The one sync round behind :meth:`sync` and :meth:`sync_delta`.
+
+        ``withdrawn`` is what ``source`` dropped from the retained base
+        (None without a base); it narrows the retraction scan.
+        """
 
         def finish(outcome: SyncOutcome, span) -> SyncOutcome:
             if tracer.enabled:
@@ -562,32 +571,6 @@ class SyncSession:
         if (
             stamp is not None
             and self.last_stamp is not None
-            and stamp <= self.last_stamp
-        ):
-            # Duplicate or out-of-order redelivery: the watermark already
-            # covers this snapshot, so re-applying it could only regress
-            # the materialization.  Skip without solving.
-            tracer.event("stale-snapshot", stamp=str(stamp), watermark=str(self.last_stamp))
-            if metrics is not None:
-                metrics.counter("sync.stale").inc()
-            empty = Instance(schema=self.setting.target_schema)
-            outcome = SyncOutcome(
-                ok=True,
-                added=empty,
-                retracted=empty.copy(),
-                state=self.state(),
-                reason=(
-                    f"stale snapshot {stamp} at or below watermark "
-                    f"{self.last_stamp}; round skipped"
-                ),
-                stale=True,
-                metrics=metrics,
-            )
-            return outcome
-
-        if (
-            stamp is not None
-            and self.last_stamp is not None
             and stamp.epoch != self.last_stamp.epoch
             and self._solver is not None
         ):
@@ -600,11 +583,10 @@ class SyncSession:
 
         with tracer.span("sync-round", round=self.rounds + 1) as round_span:
             with tracer.span("retraction-scan"):
-                if _retraction is not None:
-                    kept, retracted = _retraction
-                else:
-                    kept, retracted = self._still_justified(source)
-            seed = self.pinned.union(kept)
+                retracted = self._retraction_scan(source, withdrawn)
+            seed = self.state()
+            for fact in retracted:
+                seed.discard(fact)
 
             max_attempts = self.retry.max_attempts if self.retry is not None else 1
             attempt = 0
@@ -630,9 +612,7 @@ class SyncSession:
                     reason = str(exhausted)
                 except SolverError as error:
                     return finish(
-                        self._unchanged(
-                            str(error), SolveStatus.DECIDED, attempts=attempt + 1
-                        ),
+                        self._unchanged(str(error), attempts=attempt + 1),
                         round_span,
                     )
                 if result is not None:
@@ -643,7 +623,7 @@ class SyncSession:
                 retriable = status is SolveStatus.BUDGET_EXHAUSTED
                 if not retriable or attempt + 1 >= max_attempts:
                     return finish(
-                        self._unchanged(reason, status, attempts=attempt + 1),
+                        self._unchanged(reason, status=status, attempts=attempt + 1),
                         round_span,
                     )
                 assert self.retry is not None
@@ -658,30 +638,25 @@ class SyncSession:
                     self._unchanged(
                         "the target's pinned facts are incompatible with the "
                         "new source snapshot",
-                        SolveStatus.DECIDED,
                         attempts=attempt + 1,
                     ),
                     round_span,
                 )
 
-            new_state = result.solution
-            added = Instance(schema=self.setting.target_schema)
+            new_state, target = result.solution, self.setting.target_schema
             previous = self.state()
-            for fact in new_state:
-                if fact not in previous:
-                    added.add(fact)
-            imported = Instance(schema=self.setting.target_schema)
-            for fact in new_state:
-                if fact not in self.pinned:
-                    imported.add(fact)
+            added = Instance((f for f in new_state if f not in previous), target)
+            imported = Instance(
+                (f for f in new_state if f not in self.pinned), target
+            )
             round_number = self.rounds + 1
             if self.journal is not None:
                 # Commit durably before mutating in-memory state: a crash
                 # between the two replays to the committed round.
                 self.journal.ensure_header(self.setting, self.pinned)
                 # Stamped rounds commit the ingested source alongside the
-                # round: a resumed session then still holds the delta base,
-                # so a crash does not break the delta chain.
+                # round: a resumed session then still holds the base, so
+                # a crash does not break the delta chain.
                 self.journal.record_round(
                     round_number, imported, added, retracted, stamp=stamp,
                     source=source if stamp is not None else None,
@@ -692,6 +667,8 @@ class SyncSession:
             if stamp is not None:
                 self.last_stamp = stamp
                 self._last_source = source.copy()
+            else:
+                self._last_source = None
             return finish(
                 SyncOutcome(
                     ok=True,
@@ -702,112 +679,3 @@ class SyncSession:
                 ),
                 round_span,
             )
-
-    def sync_delta(
-        self,
-        added: Instance,
-        withdrawn: Instance,
-        base: Stamp | tuple[int, int],
-        stamp: Stamp | tuple[int, int],
-        node_budget: int | None = None,
-        budget: Budget | None = None,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-    ) -> SyncOutcome:
-        """Run one round from an incremental ``(added, withdrawn)`` payload.
-
-        The delta patches the source snapshot stamped ``base`` into the
-        snapshot stamped ``stamp``: the session reconstructs ``I_t =
-        (I_{t-1} - withdrawn) ∪ added`` from its retained base and runs
-        the ordinary stamped round on the result, so a delta round and a
-        full-snapshot round of the same ``I_t`` commit identical state —
-        the delta only shrinks the wire.
-
-        Ordering mirrors :meth:`sync`: a stamp at or below the watermark
-        is a stale no-op *before* any chain check (redelivered deltas are
-        idempotent, like redelivered snapshots).  A live stamp whose
-        ``base`` differs from the watermark — the session missed (or
-        never saw) the base snapshot, or crashed without a journal —
-        breaks the chain: the round returns ``ok=False`` with
-        :data:`DELTA_CHAIN_BROKEN` as the reason, leaving all state
-        untouched, and the sender is expected to fall back to a full
-        snapshot.
-        """
-        if tracer is None:
-            tracer = NULL_TRACER
-        if not isinstance(stamp, Stamp):
-            stamp = Stamp(*stamp)
-        if not isinstance(base, Stamp):
-            base = Stamp(*base)
-
-        if self.last_stamp is not None and stamp <= self.last_stamp:
-            tracer.event(
-                "stale-snapshot", stamp=str(stamp), watermark=str(self.last_stamp)
-            )
-            if metrics is not None:
-                metrics.counter("sync.stale").inc()
-            empty = Instance(schema=self.setting.target_schema)
-            return SyncOutcome(
-                ok=True,
-                added=empty,
-                retracted=empty.copy(),
-                state=self.state(),
-                reason=(
-                    f"stale delta {stamp} at or below watermark "
-                    f"{self.last_stamp}; round skipped"
-                ),
-                stale=True,
-                delta=True,
-                metrics=metrics,
-            )
-
-        if self.last_stamp != base or self._last_source is None:
-            tracer.event(
-                "delta-chain-broken",
-                base=str(base),
-                stamp=str(stamp),
-                watermark=str(self.last_stamp),
-            )
-            if metrics is not None:
-                metrics.counter("sync.delta_broken").inc()
-            if self._solver is not None:
-                # The sender will fall back to a full snapshot of unknown
-                # lineage; start the next round from a cold pipeline.
-                self._solver.reset()
-            empty = Instance(schema=self.setting.target_schema)
-            return SyncOutcome(
-                ok=False,
-                added=empty,
-                retracted=empty.copy(),
-                state=self.state(),
-                reason=DELTA_CHAIN_BROKEN,
-                delta=True,
-                metrics=metrics,
-            )
-
-        if metrics is not None:
-            metrics.counter("sync.delta_rounds").inc()
-        source = self._last_source.copy()
-        for fact in withdrawn:
-            source.discard(fact)
-        for fact in added:
-            source.add(fact)
-        # The chain is intact, so the committed state solves the retained
-        # base — exactly the invariant the delta-narrowed retraction scan
-        # needs.  (Same-epoch deltas only: sync() resets the incremental
-        # pipeline on epoch bumps, but the scan invariant still holds.)
-        retraction = None
-        if self.incremental:
-            with tracer.span("retraction-scan-delta"):
-                retraction = self._still_justified_delta(source, withdrawn)
-        outcome = self.sync(
-            source,
-            node_budget=node_budget,
-            budget=budget,
-            tracer=tracer,
-            metrics=metrics,
-            stamp=stamp,
-            _retraction=retraction,
-        )
-        outcome.delta = True
-        return outcome

@@ -321,14 +321,14 @@ def test_stitch_chrome_export_one_lane_per_peer(tmp_path):
 # ----------------------------------------------------------------------
 
 _METRIC_CALL = re.compile(
-    r"""\.(?:counter|gauge|histogram)\(\s*f?["']([^"']+)["']"""
+    r"""\.(?:counter|gauge|histogram|annotate)\(\s*f?["']([^"']+)["']"""
 )
 
 
 def test_every_emitted_network_metric_is_documented():
-    # Static scan: every net.*/netd.*/chaos.* literal the source passes
-    # to a registry instrument must appear in the name table (f-string
-    # placeholders collapse to the wildcard families).
+    # Static scan: every net.*/netd.*/chaos.*/sync.* literal the source
+    # passes to a registry instrument or label must appear in the name
+    # table (f-string placeholders collapse to the wildcard families).
     src = Path(__file__).resolve().parent.parent / "src" / "repro"
     emitted: set[str] = set()
     for path in sorted(src.rglob("*.py")):
@@ -338,9 +338,10 @@ def test_every_emitted_network_metric_is_documented():
                 # Fully dynamic leaf (f"chaos.{counter}"): unresolvable
                 # statically; the selfcheck runtime audit covers these.
                 continue
-            if name.startswith(("net.", "netd.", "chaos.")):
+            if name.startswith(("net.", "netd.", "chaos.", "sync.")):
                 emitted.add(name)
     assert emitted, "the scan found no network metric emissions at all"
+    assert {"sync.rounds", "sync.status", "sync.delta_broken"} <= emitted
     missing = undocumented(emitted)
     assert not missing, f"undocumented metric name(s): {missing}"
 
@@ -366,6 +367,8 @@ def test_metric_name_helpers():
     assert metric_documented("net.delta_fallback")  # via the shim
     assert metric_documented("solve.duration_ms")  # not this table's business
     assert not metric_documented("netd.made_up")
+    assert metric_documented("sync.delta_rounds")
+    assert not metric_documented("sync.made_up")
     assert undocumented(["net.sent", "chaos.nonsense"]) == ["chaos.nonsense"]
 
 

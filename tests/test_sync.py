@@ -396,3 +396,283 @@ class TestDeltaRounds:
         assert restored.sync(
             parse_instance("reg(a, 1); reg(b, 2); reg(c, 3)"), stamp=Stamp(1, 2)
         ).ok
+
+
+class TestUnstampedRoundDropsTheBase:
+    """An applied unstamped round leaves no base for a delta to patch."""
+
+    def test_delta_after_an_unstamped_round_breaks_the_chain(
+        self, registry_setting
+    ):
+        from repro.sync import Stamp
+
+        session = SyncSession(registry_setting)
+        assert session.sync(parse_instance("reg(a, 1)"), stamp=Stamp(1, 1)).ok
+        assert session.sync(parse_instance("reg(a, 1); reg(b, 2)")).ok
+        assert session.last_source is None
+        # The state solves the unstamped snapshot, not the 1.1 base, so
+        # the delta cannot apply; it must not be mistaken for a rejection.
+        outcome = session.sync_delta(
+            added=parse_instance("reg(c, 3)"),
+            withdrawn=Instance(),
+            base=Stamp(1, 1),
+            stamp=Stamp(1, 2),
+        )
+        assert outcome.chain_broken and not outcome.ok
+        assert session.state() == parse_instance("db(a, 1); db(b, 2)")
+        # The sender's fallback snapshot re-establishes the base.
+        assert session.sync(
+            parse_instance("reg(a, 1); reg(b, 2); reg(c, 3)"), stamp=Stamp(1, 2)
+        ).ok
+        assert session.sync_delta(
+            added=parse_instance("reg(d, 4)"),
+            withdrawn=parse_instance("reg(a, 1)"),
+            base=Stamp(1, 2),
+            stamp=Stamp(1, 3),
+        ).ok
+        assert session.state() == parse_instance("db(b, 2); db(c, 3); db(d, 4)")
+
+    def test_resume_after_an_unstamped_commit_has_no_base(
+        self, tmp_path, registry_setting
+    ):
+        from repro.runtime import SessionJournal
+        from repro.sync import Stamp
+
+        journal = SessionJournal(tmp_path / "session.journal")
+        session = SyncSession(registry_setting, journal=journal)
+        assert session.sync(parse_instance("reg(a, 1)"), stamp=Stamp(1, 1)).ok
+        assert session.sync(parse_instance("reg(a, 1); reg(b, 2)")).ok
+        del session
+
+        restored = SyncSession.resume(journal)
+        assert restored.last_stamp == Stamp(1, 1)
+        assert restored.last_source is None
+        assert restored.sync_delta(
+            added=parse_instance("reg(c, 3)"),
+            withdrawn=Instance(),
+            base=Stamp(1, 1),
+            stamp=Stamp(1, 2),
+        ).chain_broken
+
+
+def _hom_equivalent(left: Instance, right: Instance) -> bool:
+    from repro.core.homomorphism import has_instance_homomorphism
+
+    return has_instance_homomorphism(left, right) and has_instance_homomorphism(
+        right, left
+    )
+
+
+def _as_instance(facts, schema) -> Instance:
+    instance = Instance(schema=schema)
+    for fact in facts:
+        instance.add(fact)
+    return instance
+
+
+class TestResumeMatchesScratch:
+    def test_round_after_resume_is_hom_equivalent_to_scratch_solve(
+        self, tmp_path
+    ):
+        # A resumed session's solver rebuilds cold over restored nulls; it
+        # must label fresh nulls above them, or restored and fresh facts
+        # end up sharing a null the scratch solution does not have.
+        from repro.runtime import SessionJournal
+        from repro.solver import solve
+        from repro.sync import Stamp
+        from repro.workloads.scenarios import generate_genomics_feed
+
+        setting = genomics_setting()
+        schema = setting.source_schema
+        feed = generate_genomics_feed(rounds=5, proteins=40, churn=0.2, seed=0)
+        journal = SessionJournal(tmp_path / "session.journal")
+        session = SyncSession(setting, journal=journal)
+        assert session.sync(feed[0], stamp=Stamp(0, 0)).ok
+        for i in range(1, 4):
+            added, withdrawn = feed[i].diff(feed[i - 1])
+            assert session.sync_delta(
+                _as_instance(added, schema), _as_instance(withdrawn, schema),
+                base=Stamp(0, i - 1), stamp=Stamp(0, i),
+            ).ok
+        del session
+
+        restored = SyncSession.resume(journal)
+        added, withdrawn = feed[4].diff(feed[3])
+        outcome = restored.sync_delta(
+            _as_instance(added, schema), _as_instance(withdrawn, schema),
+            base=Stamp(0, 3), stamp=Stamp(0, 4),
+        )
+        assert outcome.ok
+        scratch = solve(setting, feed[4], Instance()).solution
+        assert _hom_equivalent(restored.state(), scratch)
+
+
+def _staff_setting() -> PDESetting:
+    # Pinned facts plus an existential Σ_st head (office rooms are nulls).
+    return PDESetting.from_text(
+        source={"emp": 2},
+        target={"works": 2, "office": 2},
+        st="emp(e, d) -> works(e, d); emp(e, d) -> office(e, r)",
+        ts="works(e, d) -> emp(e, d); office(e, r) -> emp(e, d)",
+        name="staff",
+    )
+
+
+def _mirrored_setting() -> PDESetting:
+    return PDESetting.from_text(
+        source={"reg": 2, "alt": 2},
+        target={"db": 2},
+        st="reg(k, v) -> db(k, v)",
+        ts="db(k, v) -> (reg(k, v)) | (alt(k, v))",
+        name="mirrored-registry",
+    )
+
+
+def _genomics_timeline(seed):
+    from repro.workloads.scenarios import generate_genomics_feed
+
+    setting = genomics_setting()
+    feed = generate_genomics_feed(rounds=6, proteins=20, churn=0.3, seed=seed)
+    return setting, Instance(), feed
+
+
+def _random_timeline(setting, pool, fixed, rng, rounds=6):
+    """Snapshots drawn from ``pool``, each also holding every ``fixed`` fact."""
+    snapshots = []
+    for _ in range(rounds):
+        facts = list(fixed) + rng.sample(pool, k=rng.randint(0, len(pool) // 2))
+        snapshots.append(_as_instance(facts, setting.source_schema))
+    return snapshots
+
+
+def _staff_timeline(seed):
+    import random
+
+    from repro.core.atoms import Fact
+    from repro.core.terms import Constant, Null
+
+    setting = _staff_setting()
+    rng = random.Random(seed)
+    people = [Constant(f"e{i}") for i in range(6)]
+    depts = [Constant(d) for d in ("d0", "d1")]
+    pool = [Fact("emp", (p, d)) for p in people for d in depts]
+    anchor = Fact("emp", (Constant("p0"), Constant("d0")))
+    # The pinned room is null 0: fresh nulls must not reuse its label.
+    pinned = _as_instance(
+        [
+            Fact("works", (Constant("p0"), Constant("d0"))),
+            Fact("office", (Constant("p0"), Null(0))),
+        ],
+        setting.target_schema,
+    )
+    return setting, pinned, _random_timeline(setting, pool, [anchor], rng)
+
+
+def _mirrored_timeline(seed):
+    import random
+
+    from repro.core.atoms import Fact
+    from repro.core.terms import Constant
+
+    setting = _mirrored_setting()
+    rng = random.Random(seed)
+    keys = [Constant(k) for k in "abcd"]
+    values = [Constant(v) for v in ("1", "2")]
+    pool = [
+        Fact(relation, (k, v))
+        for relation in ("reg", "alt")
+        for k in keys
+        for v in values
+    ]
+    return setting, Instance(), _random_timeline(setting, pool, [], rng)
+
+
+class TestSnapshotDeltaDifferential:
+    """One round path: snapshot, delta and base-less rounds agree."""
+
+    @pytest.mark.parametrize(
+        "timeline", [_genomics_timeline, _staff_timeline, _mirrored_timeline]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_timeline(self, timeline, seed):
+        from repro.sync import Stamp
+
+        setting, pinned, feed = timeline(seed)
+        schema = setting.source_schema
+        by_snapshot = SyncSession(setting, pinned=pinned.copy())
+        by_delta = SyncSession(setting, pinned=pinned.copy())
+        unstamped = SyncSession(setting, pinned=pinned.copy())
+        for i, snapshot in enumerate(feed):
+            stamp = Stamp(0, i)
+            first = by_snapshot.sync(snapshot, stamp=stamp)
+            if i == 0:
+                second = by_delta.sync(snapshot, stamp=stamp)
+            else:
+                added, withdrawn = snapshot.diff(feed[i - 1])
+                second = by_delta.sync_delta(
+                    _as_instance(added, schema), _as_instance(withdrawn, schema),
+                    base=Stamp(0, i - 1), stamp=stamp,
+                )
+            third = unstamped.sync(snapshot)
+            assert first.ok and second.ok and third.ok, (i, first.reason)
+            assert by_delta.state() == by_snapshot.state()
+            assert first.retracted == second.retracted
+            assert _hom_equivalent(unstamped.state(), by_snapshot.state())
+            assert setting.is_solution(snapshot, pinned, unstamped.state())
+            assert setting.is_solution(snapshot, pinned, by_snapshot.state())
+
+
+class TestDisjunctiveRetraction:
+    """Delta-narrowed retraction under a disjunctive ``Σ_ts`` head."""
+
+    def seeded(self):
+        from repro.sync import Stamp
+
+        session = SyncSession(_mirrored_setting())
+        assert session.sync(
+            parse_instance("reg(a, 1); reg(b, 2); alt(b, 2)"), stamp=Stamp(1, 1)
+        ).ok
+        assert session.state() == parse_instance("db(a, 1); db(b, 2)")
+        return session
+
+    @pytest.mark.parametrize("via_delta", [False, True])
+    def test_witness_moving_to_another_disjunct_keeps_the_fact(self, via_delta):
+        from repro.sync import Stamp
+
+        session = self.seeded()
+        # reg(b, 2) goes, but alt(b, 2) still vouches for db(b, 2); a
+        # new alt(a, 1) arrives with the withdrawal of reg(a, 1).
+        if via_delta:
+            outcome = session.sync_delta(
+                added=parse_instance("alt(a, 1)"),
+                withdrawn=parse_instance("reg(a, 1); reg(b, 2)"),
+                base=Stamp(1, 1),
+                stamp=Stamp(1, 2),
+            )
+        else:
+            outcome = session.sync(
+                parse_instance("alt(a, 1); alt(b, 2)"), stamp=Stamp(1, 2)
+            )
+        assert outcome.ok
+        assert len(outcome.retracted) == 0
+        assert session.state() == parse_instance("db(a, 1); db(b, 2)")
+
+    @pytest.mark.parametrize("via_delta", [False, True])
+    def test_every_disjunct_losing_its_witness_retracts_the_fact(
+        self, via_delta
+    ):
+        from repro.sync import Stamp
+
+        session = self.seeded()
+        if via_delta:
+            outcome = session.sync_delta(
+                added=Instance(),
+                withdrawn=parse_instance("reg(b, 2); alt(b, 2)"),
+                base=Stamp(1, 1),
+                stamp=Stamp(1, 2),
+            )
+        else:
+            outcome = session.sync(parse_instance("reg(a, 1)"), stamp=Stamp(1, 2))
+        assert outcome.ok
+        assert outcome.retracted == parse_instance("db(b, 2)")
+        assert session.state() == parse_instance("db(a, 1)")
