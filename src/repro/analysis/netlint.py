@@ -17,7 +17,7 @@ matter for soundness:
   publishes (the simulator's ``_CONTROL < _PUBLISH`` ranks), and within
   a kind preserve list order;
 * partitions drop at *send* time with the implicit remainder group of
-  :meth:`repro.net.SimTransport.connected`; crashes drop at *delivery*
+  :func:`repro.net.scenarios.connected`; crashes drop at *delivery*
   time, so a crashed peer only *certainly* misses a publish when it
   stays down past the latest possible delivery (base latency plus
   whatever reorder / delay / duplicate lag the link's fault schedule
@@ -26,12 +26,13 @@ matter for soundness:
   finding (``PDE305``), while a peer unreachable at quiescence makes the
   convergence check vacuous (``PDE304``) — an error, because the run
   would "pass" while verifying nothing;
-* scenarios with a declared relay ``topology`` are judged path-wise: the
-  reachability behind ``PDE304`` walks the relay graph exactly as
-  :meth:`repro.net.NetworkSimulator._reachable_set` does, a live peer
-  severed from every relay route is ``PDE310``, a directed relay cycle
-  is ``PDE311`` (safe under stamp watermarks, but each lap is wasted
-  wire traffic), and a custody assignment that statically starves a peer
+* reachability is path-wise: ``PDE304`` walks the relay graph with the
+  same :func:`repro.net.scenarios.relay_reachable` the simulator and the
+  daemon harness use (a star is its publisher→peer links).  For a
+  declared relay ``topology``, a live peer severed from every relay
+  route is ``PDE310``, a directed relay cycle is ``PDE311`` (safe under
+  stamp watermarks, but each lap is wasted wire traffic), and a custody
+  assignment that statically starves a peer
   of the publisher's feed is ``PDE312`` — an error, since no amount of
   healing can deliver a feed no path carries.  Star-only arguments
   (``PDE307``'s overtake window and ``PDE308``'s certain-miss chain
@@ -71,6 +72,8 @@ from repro.net.scenarios import (
     Partition,
     Restart,
     Scenario,
+    connected,
+    relay_reachable,
 )
 from repro.runtime.faults import FaultSchedule
 
@@ -137,22 +140,6 @@ def _fault_free(schedule: FaultSchedule | None) -> bool:
     )
 
 
-def _connected(
-    groups: tuple[frozenset[str], ...] | None, a: str, b: str
-) -> bool:
-    """Mirror of :meth:`repro.net.SimTransport.connected`."""
-    if groups is None or a == b:
-        return True
-    group_of_a = group_of_b = None
-    for group in groups:
-        if a in group:
-            group_of_a = group
-        if b in group:
-            group_of_b = group
-    # Unnamed peers share the implicit remainder group (both None).
-    return group_of_a is group_of_b
-
-
 # ---------------------------------------------------------------------------
 # relay-topology predicates (PDE31x)
 # ---------------------------------------------------------------------------
@@ -186,36 +173,6 @@ def _relay_cycle(scenario: Scenario) -> tuple[str, ...] | None:
             if cycle is not None:
                 return cycle
     return None
-
-
-def _relay_reachable(
-    scenario: Scenario,
-    crashed: Iterable[str],
-    groups: tuple[frozenset[str], ...] | None,
-) -> set[str]:
-    """Peers a custody-carrying live path connects to the publisher.
-
-    Mirror of :meth:`repro.net.NetworkSimulator._reachable_set` under the
-    abstract end-of-timeline state: an edge is traversable when it
-    carries the publisher's feed, its recipient is not crashed, and the
-    surviving partition (if any) does not sever its ends.  With
-    ``crashed=()`` and ``groups=None`` this is the *fault-free* custody
-    reachability the PDE312 rule checks.
-    """
-    feed = scenario.publisher
-    down = set(crashed)
-    seen = {feed}
-    frontier = [feed]
-    while frontier:
-        current = frontier.pop(0)
-        for link in scenario.downstream(current, feed):
-            nxt = link.recipient
-            if nxt in seen or nxt in down or not _connected(groups, current, nxt):
-                continue
-            seen.add(nxt)
-            frontier.append(nxt)
-    seen.discard(feed)
-    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +302,7 @@ def _timeline_rules(scenario: Scenario, deltas: bool) -> list[Diagnostic]:
                 for link in scenario.downstream(publisher, publisher)
             ]
             if first_hop and all(
-                not _connected(groups, publisher, peer) for peer in first_hop
+                not connected(groups, publisher, peer) for peer in first_hop
             ):
                 diagnostics.append(
                     _diag(
@@ -367,7 +324,7 @@ def _timeline_rules(scenario: Scenario, deltas: bool) -> list[Diagnostic]:
             continue
         for peer in peers:
             schedule = scenario.faults.get((publisher, peer))
-            if not _connected(groups, publisher, peer):
+            if not connected(groups, publisher, peer):
                 # Partition refuses at send time: no copy ever exists.
                 certain_missed[peer].add(index)
             elif _always_drops(schedule):
@@ -453,7 +410,7 @@ def _timeline_rules(scenario: Scenario, deltas: bool) -> list[Diagnostic]:
                     "unintentional; it is safe but wasteful",
                 )
             )
-        custody_gapped = set(peers) - _relay_reachable(scenario, (), None)
+        custody_gapped = set(peers) - relay_reachable(scenario, (), None)
         for peer in sorted(custody_gapped):
             diagnostics.append(
                 _diag(
@@ -468,13 +425,13 @@ def _timeline_rules(scenario: Scenario, deltas: bool) -> list[Diagnostic]:
                 )
             )
 
+    reachable = relay_reachable(scenario, crashed, groups)
     if topology:
-        relay_reachable = _relay_reachable(scenario, crashed, groups)
         for peer in sorted(peers):
             if (
                 peer in crashed  # already PDE302
                 or peer in custody_gapped  # already PDE312
-                or peer in relay_reachable
+                or peer in reachable
             ):
                 continue
             diagnostics.append(
@@ -489,13 +446,6 @@ def _timeline_rules(scenario: Scenario, deltas: bool) -> list[Diagnostic]:
                     "or add a redundant relay link",
                 )
             )
-        reachable = [peer for peer in peers if peer in relay_reachable]
-    else:
-        reachable = [
-            peer
-            for peer in peers
-            if peer not in crashed and _connected(groups, publisher, peer)
-        ]
     if not reachable:
         diagnostics.append(
             _diag(

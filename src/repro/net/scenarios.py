@@ -31,7 +31,7 @@ Shipped scenarios (see :func:`scenario_registry`):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.core.instance import Instance
 from repro.core.parser import parse_instance
@@ -49,6 +49,7 @@ __all__ = [
     "RelayLink",
     "Restart",
     "Scenario",
+    "connected",
     "crash_scenario",
     "genomics_churn_scenario",
     "genomics_scenario",
@@ -56,6 +57,7 @@ __all__ = [
     "registry_setting",
     "relay_chain_scenario",
     "relay_mesh_scenario",
+    "relay_reachable",
     "scenario_registry",
 ]
 
@@ -190,9 +192,10 @@ class Scenario:
         repair: the fallback when a trust-ordered merge still violates
             Σ_t egds; one of :data:`REPAIR_RULES` (empty = undeclared).
         topology: directed :class:`RelayLink` edges forming the relay
-            graph.  Empty means the legacy star (the publisher feeds
-            every peer directly); non-empty means publishes flow only
-            along declared links and peers forward what they apply.
+            graph: publishes flow along them and peers forward what they
+            apply.  Empty means a star (the publisher feeds every peer
+            directly); :attr:`relay_links` spells it out as links, and
+            every runner treats it exactly like that declared topology.
     """
 
     name: str
@@ -312,6 +315,62 @@ class Scenario:
             for link in self.relay_links
             if link.recipient == name and (feed is None or link.carries(feed))
         )
+
+
+# ----------------------------------------------------------------------
+# reachability: the one partition predicate and relay walk every layer
+# (simulator, daemon harness, scenario linter) judges peers by
+# ----------------------------------------------------------------------
+
+
+def connected(
+    groups: tuple[frozenset[str], ...] | None, a: str, b: str
+) -> bool:
+    """Can ``a`` reach ``b`` under the partition ``groups``?
+
+    ``None`` means healed (everyone connected).  Names in no group share
+    an implicit remainder group.
+    """
+    if groups is None or a == b:
+        return True
+    group_of_a = group_of_b = None
+    for group in groups:
+        if a in group:
+            group_of_a = group
+        if b in group:
+            group_of_b = group
+    # Unnamed peers share the implicit remainder group (both None).
+    return group_of_a is group_of_b
+
+
+def relay_reachable(
+    scenario: Scenario,
+    crashed: Iterable[str],
+    groups: tuple[frozenset[str], ...] | None,
+) -> set[str]:
+    """Peers a custody-carrying live path connects to the publisher.
+
+    Breadth-first over :attr:`Scenario.relay_links` (so a star is just
+    its publisher→peer links): an edge is traversable when it carries
+    the publisher's feed, its recipient is not ``crashed``, and the
+    partition ``groups`` (None = healed) does not sever its ends.  With
+    ``crashed=()`` and ``groups=None`` this is the fault-free custody
+    reachability.
+    """
+    feed = scenario.publisher
+    down = set(crashed)
+    seen = {feed}
+    frontier = [feed]
+    while frontier:
+        current = frontier.pop(0)
+        for link in scenario.downstream(current, feed):
+            nxt = link.recipient
+            if nxt in seen or nxt in down or not connected(groups, current, nxt):
+                continue
+            seen.add(nxt)
+            frontier.append(nxt)
+    seen.discard(feed)
+    return seen
 
 
 # ----------------------------------------------------------------------

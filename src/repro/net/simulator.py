@@ -56,6 +56,7 @@ from repro.net.scenarios import (
     Partition,
     Restart,
     Scenario,
+    relay_reachable,
 )
 from repro.net.scoring import PeerScorer
 from repro.net.transport import Delta, Message, SimTransport
@@ -498,9 +499,8 @@ class NetworkSimulator:
             facts=len(snapshot),
         ) as span:
             context.annotate(span)
-            # Publishes flow along the relay graph: every peer in the
-            # legacy star, only direct downstream links in a mesh (the
-            # rest of the graph hears forwarded copies).
+            # Publishes flow along the publisher's own relay links (every
+            # peer of a star); the rest of a mesh hears forwarded copies.
             for link in self.scenario.downstream(
                 self.scenario.publisher, self.scenario.publisher
             ):
@@ -671,44 +671,15 @@ class NetworkSimulator:
     def reachable(self, peer: str) -> bool:
         """Is ``peer`` live and connected to the feed right now?
 
-        In the legacy star this is the direct link to the publisher; in
-        a relay mesh the publisher need not be adjacent, so reachability
-        walks the relay graph (:meth:`_reachable_set`) — a peer is
-        reachable iff some custody-carrying path of connected links and
-        live relays leads from the publisher to it.
+        A peer is reachable iff some custody-carrying path of connected
+        links and live relays leads from the publisher to it
+        (:func:`~repro.net.scenarios.relay_reachable`); on a star that
+        path is the peer's own link from the publisher.
         """
-        node = self.nodes[peer]
-        if node.crashed:
-            return False
-        if not self.scenario.topology:
-            return self.transport.connected(self.scenario.publisher, peer)
-        return peer in self._reachable_set()
-
-    def _reachable_set(self) -> set[str]:
-        """Peers a custody-carrying live path connects to the publisher.
-
-        Breadth-first over the relay graph: an edge is traversable when
-        it carries the feed, its recipient is live, and the transport
-        currently connects its ends (partitions sever edges, not just
-        the publisher's own links).
-        """
-        feed = self.scenario.publisher
-        seen = {feed}
-        frontier = [feed]
-        while frontier:
-            current = frontier.pop(0)
-            for link in self.scenario.downstream(current, feed):
-                nxt = link.recipient
-                if (
-                    nxt in seen
-                    or self.nodes[nxt].crashed
-                    or not self.transport.connected(current, nxt)
-                ):
-                    continue
-                seen.add(nxt)
-                frontier.append(nxt)
-        seen.discard(feed)
-        return seen
+        crashed = [name for name, node in self.nodes.items() if node.crashed]
+        return peer in relay_reachable(
+            self.scenario, crashed, self.transport._groups
+        )
 
     def _repair_sources(self, name: str) -> list[str]:
         """Upstream neighbors able to repair ``name`` right now.
@@ -734,11 +705,11 @@ class NetworkSimulator:
 
         Models the catch-up fetch a re-joined peer performs: reliable
         (no fault schedule), bounded, and idempotent — an up-to-date
-        peer is never contacted.  In a relay mesh the repair is
-        *path-aware*: a lagging peer fetches from the healthiest caught-
-        up upstream neighbor (ranked by :class:`~repro.net.PeerScorer`),
-        not from the possibly-unreachable origin, and repairs cascade
-        down the graph round by round.
+        peer is never contacted.  The repair is *path-aware*: a lagging
+        peer fetches from the healthiest caught-up upstream neighbor
+        (ranked by :class:`~repro.net.PeerScorer`) — on a star, the
+        publisher itself — and repairs cascade down a relay mesh round
+        by round.
         """
         if self.latest_snapshot is None:
             return
@@ -753,22 +724,19 @@ class NetworkSimulator:
                 break
             repaired_any = False
             for name in lagging:
-                if self.scenario.topology:
-                    sources = self._repair_sources(name)
-                    upstream = self.scorer.best_upstream(name, sources)
-                    if upstream is None:
-                        # No caught-up neighbor yet: a later round will
-                        # reach this peer once its upstream is repaired.
-                        continue
-                    if upstream == feed:
-                        payload = self.latest_snapshot
-                    else:
-                        source = self.nodes[upstream].session.last_source
-                        if source is None:  # pragma: no cover - caught up
-                            continue
-                        payload = source
+                sources = self._repair_sources(name)
+                upstream = self.scorer.best_upstream(name, sources)
+                if upstream is None:
+                    # No caught-up neighbor yet: a later round will
+                    # reach this peer once its upstream is repaired.
+                    continue
+                if upstream == feed:
+                    payload = self.latest_snapshot
                 else:
-                    upstream, payload = feed, self.latest_snapshot
+                    source = self.nodes[upstream].session.last_source
+                    if source is None:  # pragma: no cover - caught up
+                        continue
+                    payload = source
                 self.stats["anti_entropy"] += 1
                 repaired_any = True
                 if self.metrics is not None:
@@ -786,7 +754,7 @@ class NetworkSimulator:
                 )
                 self._observe_apply(message, outcome)
                 self.scorer.record((upstream, name), self._score_outcome(outcome))
-            if self.scenario.topology and not repaired_any:
+            if not repaired_any:
                 # Every lagging peer is waiting on an upstream that can
                 # no longer catch up (e.g. severed mid-graph): further
                 # rounds cannot make progress.

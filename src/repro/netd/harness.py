@@ -1,28 +1,43 @@
-"""Run simulator scenarios against the real daemon over real sockets.
+"""Run simulator scenarios against real daemons over real sockets.
 
 :func:`run_scenario_netd` takes the *same* :class:`~repro.net.Scenario`
 values the in-memory :class:`~repro.net.NetworkSimulator` executes and
-replays them against live machinery: one :class:`~repro.netd.SyncDaemon`
-hosting every subscriber peer, one :class:`~repro.netd.ChaosProxy` per
-publisher→peer link carrying that link's seeded
-:class:`~repro.runtime.FaultSchedule`, and one
-:class:`~repro.netd.PublisherClient` per link walking the scenario's
-publish timeline (scaled from virtual seconds to wall clock by
-``time_scale``).  Control events map one-to-one:
-:class:`~repro.net.Partition` / :class:`~repro.net.Heal` become proxy
-partitions, :class:`~repro.net.Crash` / :class:`~repro.net.Restart`
-crash and journal-resume the daemon-hosted peer, and
-:class:`~repro.net.BumpEpoch` bumps the stamp epoch and re-baselines
-every client's delta chain.
+replays them against live machinery, with one runner for every scenario:
+a star is just its :attr:`~repro.net.Scenario.relay_links`
+(``publisher → peer``), a declared topology adds relay hops.
 
-After the timeline drains the harness runs the same bounded
-**anti-entropy** repair the simulator runs — lagging reachable peers are
-re-offered the latest snapshot over a clean connection (no proxy) — and
-then judges the final states with the very same transport-independent
-:func:`~repro.net.check_convergence` oracle.  That shared oracle is the
-point: a scenario that converges in simulation must converge over real
-sockets, and the chaos integration tests additionally assert the final
-states *agree* (:func:`~repro.net.states_agree`) between the two runs.
+* Every peer runs in its own :class:`~repro.netd.SyncDaemon` on a unix
+  socket.  Relay links are the daemons' own relay subscriptions (an
+  applied round is pushed to the downstream daemon over the frame
+  protocol), so a 3-hop chain exchanges state over three real socket
+  connections.
+* Under chaos, every link runs through a :class:`~repro.netd.ChaosProxy`
+  carrying that link's seeded :class:`~repro.runtime.FaultSchedule`.
+* One :class:`~repro.netd.PublisherClient` per first-hop link walks the
+  scenario's publish timeline (scaled from virtual seconds to wall clock
+  by ``time_scale``).
+
+Control events map one-to-one: :class:`~repro.net.Partition` /
+:class:`~repro.net.Heal` partition and heal the proxies of the links a
+partition severs; :class:`~repro.net.Crash` flushes the peer's flight
+recorder (:meth:`~repro.netd.SyncDaemon.crash_peer`, which writes
+``<peer>.postmortem.jsonl``) and then aborts its daemon — ``kill -9`` —
+and :class:`~repro.net.Restart` boots a fresh daemon on the same
+journals and socket path; :class:`~repro.net.BumpEpoch` bumps the stamp
+epoch and re-baselines every client's delta chain.
+
+After the timeline drains and relay forwards settle, the harness runs
+the same bounded, path-aware **anti-entropy** repair the simulator runs:
+a lagging reachable peer is re-offered the latest snapshot over a clean
+connection (no proxy) from its healthiest caught-up upstream (the
+publisher, on a star).  Reachability is
+:func:`~repro.net.scenarios.relay_reachable`, the walk the simulator
+and the scenario linter use.  The final states are then judged with the
+very same transport-independent :func:`~repro.net.check_convergence`
+oracle.  That shared oracle is the point: a scenario that converges in
+simulation must converge over real sockets, and the chaos integration
+tests additionally assert the final states *agree*
+(:func:`~repro.net.states_agree`) between the two runs.
 """
 
 from __future__ import annotations
@@ -41,6 +56,8 @@ from repro.net.scenarios import (
     Partition,
     Restart,
     Scenario,
+    connected,
+    relay_reachable,
 )
 from repro.net.scoring import PeerScorer
 from repro.net.simulator import ConvergenceReport, check_convergence
@@ -84,8 +101,7 @@ class NetdReport:
     trace_files: dict[str, Path] = field(default_factory=dict)
     postmortems: list[Path] = field(default_factory=list)
     #: Per-link peer scores (``"sender->recipient"``) merged from every
-    #: daemon's scorer plus the publisher's own links; empty for star runs
-    #: before any score-worthy traffic.
+    #: daemon's scorer plus the publisher's own first-hop links.
     scores: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -114,11 +130,17 @@ def run_scenario_netd(
 ) -> NetdReport:
     """Execute ``scenario`` over real sockets; blocking wrapper.
 
+    Star and relay-topology scenarios run the same way: one daemon per
+    peer on a unix socket, relay hops as daemon-to-daemon links, and a
+    :class:`~repro.net.Crash` as that peer's ``crash_peer`` post-mortem
+    followed by an ``abort()`` of its daemon.
+
     Args:
         scenario: the same scenario value the simulator runs.
         deltas: ship incremental payloads when they beat the snapshot.
-        journal_dir: per-peer journal directory (a temp dir when None,
-            removed after the run).
+        journal_dir: journal root; each peer's daemon journals (and
+            writes its post-mortems) under ``journal_dir/<peer>``.  A
+            temp dir when None, removed after the run.
         time_scale: wall-clock seconds per virtual scenario second.
         use_chaos: route each link through a fault-injecting
             :class:`~repro.netd.ChaosProxy`; False connects directly
@@ -126,7 +148,7 @@ def run_scenario_netd(
         max_queue: bound for client pending queues and daemon queues.
         ack_timeout: per-message ACK wait before the client moves on.
         anti_entropy_limit: bounded repair rounds after the timeline.
-        node_cap: optional per-round node cap on the daemon's budgets.
+        node_cap: optional per-round node cap on each daemon's budgets.
         tracer / metrics: optional shared :mod:`repro.obs` sinks.
         trace_dir: when set, the run records one distributed-tracing
             lane per component — ``publisher.jsonl``, ``daemon.jsonl``,
@@ -165,301 +187,6 @@ async def _run(
     metrics: MetricsRegistry | None,
     trace_dir: str | Path | None = None,
 ) -> NetdReport:
-    if scenario.topology:
-        return await _run_mesh(
-            scenario,
-            deltas=deltas,
-            journal_dir=journal_dir,
-            time_scale=time_scale,
-            use_chaos=use_chaos,
-            max_queue=max_queue,
-            ack_timeout=ack_timeout,
-            anti_entropy_limit=anti_entropy_limit,
-            node_cap=node_cap,
-            tracer=tracer,
-            metrics=metrics,
-            trace_dir=trace_dir,
-        )
-    owns_journal_dir = journal_dir is None
-    if owns_journal_dir:
-        journal_dir = tempfile.mkdtemp(prefix=f"repro-netd-{scenario.name}-")
-    log: list[str] = []
-    virtual_now = 0.0
-
-    # One tracer per component when trace_dir is set: each writes its own
-    # JSONL lane, and the three files stitch into one timeline because
-    # every lane shares this process's perf_counter clock.
-    lane_tracers: dict[str, Tracer] = {}
-    if trace_dir is not None:
-        trace_dir = Path(trace_dir)
-        trace_dir.mkdir(parents=True, exist_ok=True)
-        lane_tracers["publisher"] = Tracer()
-        lane_tracers["daemon"] = Tracer()
-        if use_chaos:
-            lane_tracers["chaos"] = Tracer()
-    publisher_tracer = lane_tracers.get("publisher", tracer)
-    daemon_tracer = lane_tracers.get("daemon", tracer)
-    chaos_tracer = lane_tracers.get("chaos", tracer)
-
-    def note(text: str) -> None:
-        log.append(f"t={virtual_now:07.3f} {text}")
-
-    daemon = SyncDaemon(
-        scenario.setting,
-        scenario.peers,
-        journal_dir=journal_dir,
-        pinned=scenario.pinned,
-        node_cap=node_cap,
-        heartbeat_interval=5.0,
-        idle_timeout=60.0,
-        max_queue=max_queue,
-        tracer=daemon_tracer,
-        metrics=metrics,
-    )
-    await daemon.start()
-    note(f"daemon serving {daemon.address}")
-
-    proxies: dict[str, ChaosProxy] = {}
-    clients: dict[str, PublisherClient] = {}
-    crashed: set[str] = set()
-    try:
-        for peer in scenario.peers:
-            address = daemon.address
-            if use_chaos:
-                proxy = ChaosProxy(
-                    upstream=daemon.address,
-                    schedule=scenario.faults.get((scenario.publisher, peer)),
-                    latency=scenario.latency,
-                    reorder_delay=scenario.reorder_delay,
-                    time_scale=time_scale,
-                    tracer=chaos_tracer,
-                    metrics=metrics,
-                )
-                await proxy.start()
-                proxies[peer] = proxy
-                address = proxy.address
-            client = PublisherClient(
-                address,
-                peer,
-                sender=scenario.publisher,
-                deltas=deltas,
-                retry=RetryPolicy(
-                    max_attempts=3,
-                    base_delay=0.02,
-                    max_delay=0.1,
-                    seed=scenario.seed,
-                ),
-                max_queue=max_queue,
-                ack_timeout=ack_timeout,
-                heartbeat_interval=1.0,
-                tracer=publisher_tracer,
-                metrics=metrics,
-            )
-            await client.start()
-            clients[peer] = client
-
-        # ---- the timeline: publishes + control events, simulator order
-        timeline: list[tuple[float, int, int, object]] = []
-        order = 0
-        for index in range(len(scenario.snapshots)):
-            timeline.append((index * scenario.interval, _PUBLISH, order, index))
-            order += 1
-        for event in scenario.events:
-            timeline.append((event.at, _CONTROL, order, event))
-            order += 1
-        timeline.sort()
-
-        epoch, seq = 1, 0
-        published = 0
-        published_stamps: list[Stamp] = []
-        latest_stamp: Stamp | None = None
-        latest_snapshot: Instance | None = None
-
-        for at, kind, _order, payload in timeline:
-            if at > virtual_now:
-                await asyncio.sleep((at - virtual_now) * time_scale)
-                virtual_now = at
-            if kind == _PUBLISH:
-                snapshot = scenario.snapshots[payload]
-                seq += 1
-                stamp = Stamp(epoch, seq)
-                latest_stamp, latest_snapshot = stamp, snapshot
-                published_stamps.append(stamp)
-                published += 1
-                note(f"publish stamp={stamp} facts={len(snapshot)}")
-                for peer in scenario.peers:
-                    await clients[peer].offer(stamp, snapshot)
-            elif isinstance(payload, Partition):
-                rendered = [",".join(sorted(group)) for group in payload.groups]
-                note(f"partition {'|'.join(rendered)}")
-                for peer in scenario.peers:
-                    if peer in proxies:
-                        if _severed(scenario.publisher, peer, payload.groups):
-                            proxies[peer].partition()
-                        else:
-                            proxies[peer].heal()
-            elif isinstance(payload, Heal):
-                note("heal")
-                for proxy in proxies.values():
-                    proxy.heal()
-            elif isinstance(payload, Crash):
-                note(f"crash {payload.peer}")
-                daemon.crash_peer(payload.peer)
-                crashed.add(payload.peer)
-            elif isinstance(payload, Restart):
-                daemon.restart_peer(payload.peer)
-                crashed.discard(payload.peer)
-                note(
-                    f"restart {payload.peer} "
-                    f"stamp={daemon.watermark(payload.peer)}"
-                )
-            elif isinstance(payload, BumpEpoch):
-                epoch += 1
-                seq = 0
-                for client in clients.values():
-                    client.rebase()
-                note(f"epoch-bump epoch={epoch}")
-
-        # ---- quiescence: let every client finish its pending sends
-        for client in clients.values():
-            await client.drain(timeout=30.0)
-        note("quiescent")
-
-        # ---- anti-entropy over clean connections, like the simulator's
-        # reliable repair channel: bounded rounds, lagging peers only.
-        anti_entropy = 0
-        if latest_snapshot is not None:
-            for round_number in range(1, anti_entropy_limit + 1):
-                lagging = [
-                    peer
-                    for peer in scenario.peers
-                    if _reachable(peer, crashed, proxies)
-                    and _behind(daemon.watermark(peer), latest_stamp)
-                ]
-                if not lagging:
-                    break
-                for peer in lagging:
-                    anti_entropy += 1
-                    if metrics is not None:
-                        metrics.counter("netd.anti_entropy").inc()
-                    repair = PublisherClient(
-                        daemon.address,
-                        peer,
-                        sender=scenario.publisher,
-                        ack_timeout=max(1.0, ack_timeout),
-                        tracer=publisher_tracer,
-                        metrics=metrics,
-                    )
-                    await repair.start()
-                    outcome = await repair.publish(latest_stamp, latest_snapshot)
-                    await repair.close()
-                    note(
-                        f"anti-entropy round={round_number} peer={peer} "
-                        f"stamp={latest_stamp} -> {outcome}"
-                    )
-
-        # ---- collect final states and judge with the shared oracle
-        states: dict[str, Instance] = {}
-        unreachable: list[str] = []
-        watermarks: dict[str, Stamp | None] = {}
-        for peer in scenario.peers:
-            watermarks[peer] = daemon.watermark(peer)
-            if _reachable(peer, crashed, proxies):
-                states[peer] = daemon.peer_state(peer)
-            else:
-                unreachable.append(peer)
-        convergence = check_convergence(
-            scenario, states, unreachable,
-            watermarks=watermarks, published=published_stamps,
-        )
-        note(
-            "convergence "
-            + (
-                " ".join(
-                    f"{name}={'ok' if ok else 'DIVERGED'}"
-                    for name, ok in sorted(convergence.peers.items())
-                )
-                if convergence.peers
-                else "vacuous (no reachable peers)"
-            )
-        )
-
-        stats: dict[str, int] = {"anti_entropy": anti_entropy}
-        for peer, client in clients.items():
-            for key, value in client.stats.items():
-                stats[key] = stats.get(key, 0) + value
-        for proxy in proxies.values():
-            for key, value in proxy.stats.items():
-                stats[f"chaos_{key}"] = stats.get(f"chaos_{key}", 0) + value
-        for host in daemon.hosts.values():
-            for key, value in host.stats.items():
-                stats[f"daemon_{key}"] = stats.get(f"daemon_{key}", 0) + value
-
-        # Orderly teardown *inside* the run so the report can record
-        # whether the daemon drained cleanly (the finally below is an
-        # idempotent safety net for the exception paths).
-        for client in clients.values():
-            await client.close(bye=True)
-        drained = await daemon.stop(drain=True)
-        note(f"daemon stopped drained={drained}")
-
-        trace_files = _write_lanes(lane_tracers, trace_dir)
-        for label, path in trace_files.items():
-            note(f"trace lane {label} -> {path}")
-
-        return NetdReport(
-            scenario=scenario.name,
-            seed=scenario.seed,
-            published=published,
-            final_stamp=latest_stamp,
-            states=states,
-            unreachable=unreachable,
-            stats=stats,
-            convergence=convergence,
-            drained=drained,
-            log=log,
-            trace_files=trace_files,
-            postmortems=list(daemon.postmortems),
-        )
-    finally:
-        for client in clients.values():
-            await client.close(bye=False)
-        for proxy in proxies.values():
-            await proxy.stop()
-        await daemon.stop(drain=False)
-        _write_lanes(lane_tracers, trace_dir)
-        if owns_journal_dir:
-            shutil.rmtree(journal_dir, ignore_errors=True)
-
-
-async def _run_mesh(
-    scenario: Scenario,
-    deltas: bool,
-    journal_dir: str | Path | None,
-    time_scale: float,
-    use_chaos: bool,
-    max_queue: int,
-    ack_timeout: float,
-    anti_entropy_limit: int,
-    node_cap: int | None,
-    tracer: Tracer,
-    metrics: MetricsRegistry | None,
-    trace_dir: str | Path | None = None,
-) -> NetdReport:
-    """Run a relay-topology scenario: one daemon *per peer*, real hops.
-
-    The mesh twin of the star path above.  Every peer runs in its own
-    :class:`~repro.netd.SyncDaemon` on a unix socket; relay links are
-    the daemons' own relay subscriptions (an applied round is pushed to
-    the downstream daemon over the frame protocol), so a 3-hop chain
-    exchanges state over three real socket connections.  Chaos proxies
-    sit on faulted links, :class:`~repro.net.Crash` maps to
-    :meth:`~repro.netd.SyncDaemon.abort` — ``kill -9`` of that whole
-    daemon — and :class:`~repro.net.Restart` boots a fresh daemon on the
-    same journals and socket path.  Anti-entropy is path-aware: a
-    lagging peer is repaired from its healthiest caught-up upstream
-    (per-link scores), never from an origin it may not be adjacent to.
-    """
     owns_journal_dir = journal_dir is None
     if owns_journal_dir:
         journal_dir = tempfile.mkdtemp(prefix=f"repro-netd-{scenario.name}-")
@@ -593,10 +320,10 @@ async def _run_mesh(
 
         def apply_partition() -> None:
             for (sender, recipient), proxy in proxies.items():
-                if groups is not None and _severed(sender, recipient, groups):
-                    proxy.partition()
-                else:
+                if connected(groups, sender, recipient):
                     proxy.heal()
+                else:
+                    proxy.partition()
 
         for at, kind, _order, payload in timeline:
             if at > virtual_now:
@@ -623,9 +350,12 @@ async def _run_mesh(
                 apply_partition()
             elif isinstance(payload, Crash):
                 # kill -9 of that peer's whole daemon: no drain, no BYE;
-                # only its fsynced journal survives for the restart.
+                # only its fsynced journal survives for the restart.  The
+                # peer's flight recorder is flushed first, so the crash's
+                # prelude lands in <peer>.postmortem.jsonl.
                 note(f"crash {payload.peer} (daemon abort)")
                 daemon = daemons[payload.peer]
+                daemon.crash_peer(payload.peer)
                 daemon.abort()
                 postmortems.extend(daemon.postmortems)
                 crashed.add(payload.peer)
@@ -649,8 +379,8 @@ async def _run_mesh(
         await _settle(daemons, crashed)
         note("quiescent")
 
-        # Fold the publisher's own link outcomes into the mesh scorer so
-        # repair ranking sees first-hop health too.
+        # Fold the publisher's own link outcomes into the harness scorer
+        # so repair ranking sees first-hop health too.
         for peer, client in clients.items():
             for outcome in client.outcomes.values():
                 scorer.record((feed, peer), outcome.replace("-", "_"))
@@ -662,14 +392,14 @@ async def _run_mesh(
 
         # ---- path-aware anti-entropy: repair each lagging peer from its
         # healthiest caught-up upstream neighbor, cascading hop by hop.
+        reachable = relay_reachable(scenario, crashed, groups)
         anti_entropy = 0
         if latest_snapshot is not None:
             for round_number in range(1, anti_entropy_limit + 1):
                 lagging = [
                     peer
                     for peer in scenario.peers
-                    if peer not in crashed
-                    and _mesh_reachable(scenario, peer, crashed, groups)
+                    if peer in reachable
                     and _behind(daemons[peer].watermark(peer), latest_stamp)
                 ]
                 if not lagging:
@@ -679,7 +409,7 @@ async def _run_mesh(
                     candidates = []
                     for link in scenario.upstreams(peer, feed):
                         sender = link.sender
-                        if groups is not None and _severed(sender, peer, groups):
+                        if not connected(groups, sender, peer):
                             continue
                         if sender != feed:
                             if sender in crashed or _behind(
@@ -730,9 +460,7 @@ async def _run_mesh(
             watermarks[peer] = (
                 daemons[peer].watermark(peer) if peer not in crashed else None
             )
-            if peer not in crashed and _mesh_reachable(
-                scenario, peer, crashed, groups
-            ):
+            if peer in reachable:
                 states[peer] = daemons[peer].peer_state(peer)
             else:
                 unreachable.append(peer)
@@ -848,36 +576,6 @@ async def _settle(
         await asyncio.sleep(0.05)
 
 
-def _mesh_reachable(
-    scenario: Scenario,
-    peer: str,
-    crashed: set[str],
-    groups: tuple[frozenset[str], ...] | None,
-) -> bool:
-    """Does a live, unsevered relay path lead from the feed to ``peer``?
-
-    The harness twin of the simulator's path-based reachability: BFS
-    over custody-carrying links, skipping crashed daemons and links the
-    current partition severs.
-    """
-    feed = scenario.publisher
-    seen = {feed}
-    frontier = [feed]
-    while frontier:
-        current = frontier.pop(0)
-        for link in scenario.downstream(current, feed):
-            nxt = link.recipient
-            if nxt in seen or nxt in crashed:
-                continue
-            if groups is not None and _severed(current, nxt, groups):
-                continue
-            if nxt == peer:
-                return True
-            seen.add(nxt)
-            frontier.append(nxt)
-    return False
-
-
 def _write_lanes(
     lane_tracers: dict[str, Tracer], trace_dir: str | Path | None
 ) -> dict[str, Path]:
@@ -890,32 +588,6 @@ def _write_lanes(
         write_trace_jsonl(lane, path)
         trace_files[label] = path
     return trace_files
-
-
-def _severed(
-    publisher: str, peer: str, groups: tuple[frozenset[str], ...]
-) -> bool:
-    """Does this partition separate ``peer`` from ``publisher``?
-
-    Mirrors :meth:`repro.net.SimTransport.connected`: peers named in no
-    group share an implicit remainder group.
-    """
-    group_of_publisher = group_of_peer = None
-    for group in groups:
-        if publisher in group:
-            group_of_publisher = group
-        if peer in group:
-            group_of_peer = group
-    return group_of_publisher is not group_of_peer
-
-
-def _reachable(
-    peer: str, crashed: set[str], proxies: dict[str, ChaosProxy]
-) -> bool:
-    if peer in crashed:
-        return False
-    proxy = proxies.get(peer)
-    return proxy is None or not proxy.partitioned
 
 
 def _behind(watermark: Stamp | None, latest: Stamp | None) -> bool:

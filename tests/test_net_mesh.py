@@ -7,6 +7,7 @@ path-wise reachability, topology validation and serialization, and the
 ``PDE31x`` scenario-lint rules.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -24,12 +25,16 @@ from repro.net import (
     Restart,
     SCORE_WEIGHTS,
     Scenario,
+    crash_scenario,
     dumps_scenario,
+    genomics_churn_scenario,
     loads_scenario,
+    registry_scenario,
     registry_setting,
     relay_chain_scenario,
     relay_mesh_scenario,
 )
+from repro.net.scenarios import connected, relay_reachable
 from repro.runtime.faults import FaultSchedule
 
 SNAPSHOTS = [
@@ -241,6 +246,59 @@ class TestReachability:
         report = NetworkSimulator(chain, journal_dir=tmp_path).run()
         assert report.converged
         assert not report.convergence.unreachable
+
+
+def declared_star(scenario):
+    """``scenario`` with its implicit star spelled out as a topology."""
+    return dataclasses.replace(
+        scenario,
+        topology=tuple(
+            RelayLink(scenario.publisher, peer) for peer in scenario.peers
+        ),
+    )
+
+
+class TestStarIsATopology:
+    """An implicit star and the same star declared as relay links are one
+    scenario: the simulator has no separate star path to disagree."""
+
+    @pytest.mark.parametrize("deltas", [False, True], ids=["snapshot", "delta"])
+    @pytest.mark.parametrize(
+        "builder",
+        [registry_scenario, crash_scenario, genomics_churn_scenario],
+        ids=lambda builder: builder.__name__.replace("_scenario", ""),
+    )
+    def test_implicit_and_declared_star_agree(self, builder, deltas, tmp_path):
+        implicit = NetworkSimulator(
+            builder(seed=3), journal_dir=tmp_path / "implicit", deltas=deltas
+        )
+        declared = NetworkSimulator(
+            declared_star(builder(seed=3)),
+            journal_dir=tmp_path / "declared",
+            deltas=deltas,
+        )
+        implicit_report, declared_report = implicit.run(), declared.run()
+        assert implicit_report.converged
+        assert implicit_report.log == declared_report.log
+        assert implicit_report.stats == declared_report.stats
+        for peer, node in implicit.nodes.items():
+            assert node.crashed == declared.nodes[peer].crashed
+            if not node.crashed:
+                assert node.state() == declared.nodes[peer].state()
+
+    def test_partition_predicate_and_walk_on_a_star(self):
+        groups = (frozenset({"origin", "a"}), frozenset({"b"}))
+        assert connected(None, "origin", "b")
+        assert connected(groups, "origin", "a")
+        assert not connected(groups, "origin", "b")
+        # Names in no group share the implicit remainder group.
+        assert connected(groups, "c", "d")
+        assert not connected(groups, "a", "c")
+        star = registry_scenario(seed=0)
+        assert relay_reachable(star, (), None) == set(star.peers)
+        assert relay_reachable(star, ["peer-a"], None) == {"peer-b", "peer-c"}
+        partition = (frozenset({"origin", "peer-a"}),)
+        assert relay_reachable(star, (), partition) == {"peer-a"}
 
 
 # ----------------------------------------------------------------------

@@ -6,13 +6,17 @@ runs under chaos proxies are marked ``chaos`` and ride the nightly lane.
 """
 
 import asyncio
+import dataclasses
 
 import pytest
 
 from repro.core.parser import parse_instance
 from repro.net import (
+    Crash,
     RelayLink,
+    Restart,
     Scenario,
+    registry_scenario,
     registry_setting,
     relay_chain_scenario,
     relay_mesh_scenario,
@@ -20,6 +24,7 @@ from repro.net import (
 )
 from repro.net.simulator import NetworkSimulator
 from repro.netd import PublisherClient, SyncDaemon, run_scenario_netd
+from repro.obs import read_postmortem
 from repro.sync import Stamp
 
 SNAPSHOTS = [
@@ -190,6 +195,62 @@ def test_mesh_harness_clean_network(tmp_path):
     assert not report.unreachable
     assert report.stats.get("forwarded", 0) >= len(SNAPSHOTS[:2])
     assert "mid->leaf" in report.scores
+
+
+def test_star_and_declared_star_agree_over_sockets(tmp_path):
+    """A star is just a relay topology: the same registry scenario with
+    its star spelled out as ``publisher -> peer`` links runs the same
+    harness to the same final states."""
+    implicit = registry_scenario(seed=3)
+    declared = dataclasses.replace(
+        implicit,
+        topology=tuple(
+            RelayLink(implicit.publisher, peer) for peer in implicit.peers
+        ),
+    )
+    reports = [
+        run_scenario_netd(scenario, journal_dir=tmp_path / label)
+        for label, scenario in (("implicit", implicit), ("declared", declared))
+    ]
+    for report in reports:
+        assert report.converged, report.convergence
+        assert report.drained
+    implicit_report, declared_report = reports
+    assert sorted(implicit_report.unreachable) == sorted(
+        declared_report.unreachable
+    )
+    assert implicit_report.states.keys() == declared_report.states.keys()
+    for peer, state in implicit_report.states.items():
+        assert states_agree(state, declared_report.states[peer])
+    # First-hop scores are reported for a star too.
+    assert set(implicit_report.scores) >= {
+        f"{implicit.publisher}->{peer}" for peer in implicit.peers
+    }
+
+
+def test_crashed_relay_leaves_a_postmortem(tmp_path):
+    """Crash/Restart of the middle relay of a 2-hop chain: the relay's
+    flight recorder is flushed before its daemon is killed."""
+    scenario = Scenario(
+        name="crash-chain",
+        description="2-hop chain whose relay crashes and restarts",
+        setting=registry_setting(),
+        publisher="origin",
+        peers=["mid", "leaf"],
+        snapshots=SNAPSHOTS,
+        topology=(RelayLink("origin", "mid"), RelayLink("mid", "leaf")),
+        events=[Crash(1.5, "mid"), Restart(2.5, "mid")],
+    )
+    report = run_scenario_netd(
+        scenario, journal_dir=tmp_path, use_chaos=False, time_scale=0.01
+    )
+    assert report.converged
+    assert not report.unreachable
+    crashed = [p for p in report.postmortems if p.name == "mid.postmortem.jsonl"]
+    assert crashed, report.postmortems
+    postmortem = read_postmortem(crashed[0])
+    assert postmortem.reason == "crash"
+    assert any(event["name"] == "netd.peer_crashed" for event in postmortem.events)
 
 
 @pytest.mark.slow
